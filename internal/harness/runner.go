@@ -141,7 +141,7 @@ type Result struct {
 	FFSeconds float64
 	// Regions holds the per-region results of a region-parallel run
 	// (nil when Options.Regions <= 1).
-	Regions []RegionResult
+	Regions []UnitResult
 	// Sampling holds the statistical summary of a sampled run
 	// (nil when Options.Sampling is disabled).
 	Sampling *SamplingReport
@@ -284,13 +284,17 @@ func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf 
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opt.Sampling.enabled() {
-		return runSampledCtx(ctx, w, coreCfg, pf, opt)
-	}
-	if opt.regionCount() > 1 {
-		return runRegionsCtx(ctx, w, coreCfg, pf, opt)
-	}
 	p := w.Build()
+	if opt.Sampling.enabled() {
+		return runSampledCtx(ctx, w, p, coreCfg, pf, opt)
+	}
+	if k := opt.regionCount(); k > 1 {
+		// Region-parallel: K units tiling the measured region, each
+		// warmed like the monolithic run would be.
+		r, units, err := runUnits(ctx, w, p, coreCfg, pf, opt, tileUnits(opt.MeasureInsts, k), opt.WarmupInsts, opt.warmupMode())
+		r.Regions = units
+		return r, err
+	}
 	ex := prog.NewExec(p)
 	var pred vp.Predictor
 	if pf != nil {
@@ -332,8 +336,8 @@ type segment struct {
 // runSegmentCtx simulates one contiguous (warmup, measure) slice: it
 // acquires a core over ex (whose architectural memory image is mem), warms
 // caches and then the machine per opt.WarmupMode, and measures measure
-// instructions. It is the shared engine of the single-region path and each
-// region of a region-parallel run.
+// instructions. It is the shared engine of the single-region path and of
+// every unit runUnits executes.
 func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, ex *prog.Exec, mem *prog.Memory, warmRanges []prog.WarmRange, opt Options, measure uint64) (segment, error) {
 	var c *ooo.Core
 	if opt.ReuseCores {

@@ -2,14 +2,10 @@ package harness
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"time"
 
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
 	"fvp/internal/sample"
-	"fvp/internal/vp"
 	"fvp/internal/workload"
 )
 
@@ -86,27 +82,6 @@ func (s Sampling) warmupInsts() uint64 {
 	return s.WarmupInsts
 }
 
-// SampleUnitResult is the measured outcome of one detailed sample unit.
-type SampleUnitResult struct {
-	// Index is the unit's plan position.
-	Index int
-	// StartSeq is the absolute dynamic-instruction position of the unit's
-	// first measured instruction (warmup region included).
-	StartSeq uint64
-	// WarmupInsts is the unit's actual warmup length (clamped near the
-	// stream start).
-	WarmupInsts uint64
-	// IPC is the unit's measured IPC.
-	IPC float64
-	// Stats and Meter cover the unit's measured slice only.
-	Stats ooo.RunStats
-	Meter vp.Meter
-	// FFInsts / FFSeconds are the unit's own functional-warmup costs
-	// (the shared checkpoint scan is accounted in the Result).
-	FFInsts   uint64
-	FFSeconds float64
-}
-
 // SamplingReport is the statistical summary attached to a sampled run's
 // Result. The point metrics on the Result itself (IPC, Stats, Meter) are
 // the instruction-weighted stitch of the units; the Metric fields here
@@ -133,38 +108,37 @@ type SamplingReport struct {
 	Coverage sample.Metric
 	Accuracy sample.Metric
 	// Units holds the final round's per-unit results, in plan order.
-	Units []SampleUnitResult
+	Units []UnitResult
 }
 
-// runSampledCtx is the sampled path of RunOneCtx: one architectural pass
-// over the program takes a checkpoint at each planned unit's warmup start;
-// each unit is then restored, functionally warmed (with the standard
-// detailed tail) and detail-simulated on its own core, concurrently up to
-// RegionWorkers; the per-unit stats are stitched and estimated. When
+// runSampledCtx is the sampled path of RunOneCtx: each planned round runs
+// the plan's units through runUnits with the sampling warmup window and
+// functional warming, and the per-unit results are estimated. When
 // TargetCI is set, sample.AutoTune re-plans with a doubled unit count
 // until the IPC interval meets the target.
-func runSampledCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
+func runSampledCtx(ctx context.Context, w workload.Workload, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
 	sp := opt.Sampling
-	p := w.Build()
 
 	var (
-		units     []SampleUnitResult
+		res       Result
+		units     []UnitResult
 		ffInsts   uint64
 		ffSeconds float64
 	)
 	round := func(plan sample.Plan) ([]float64, error) {
-		rs, scanInsts, scanSeconds, err := runSampleRound(ctx, p, coreCfg, pf, opt, plan)
+		// Sampled units always warm through the functional taps; the
+		// Result records that path rather than the (unused) run-level
+		// warmup mode.
+		r, rs, err := runUnits(ctx, w, p, coreCfg, pf, opt, plan.Units, sp.warmupInsts(), WarmupFunctional)
 		if err != nil {
 			return nil, err
 		}
-		units = rs
-		ffInsts += scanInsts
-		ffSeconds += scanSeconds
+		res, units = r, rs
+		ffInsts += r.FFInsts
+		ffSeconds += r.FFSeconds
 		values := make([]float64, len(rs))
 		for i, u := range rs {
 			values[i] = u.IPC
-			ffInsts += u.FFInsts
-			ffSeconds += u.FFSeconds
 		}
 		return values, nil
 	}
@@ -180,127 +154,27 @@ func runSampledCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config,
 		return Result{}, err
 	}
 
-	var st ooo.RunStats
-	var mt vp.Meter
 	coverage := make([]float64, len(units))
 	accuracy := make([]float64, len(units))
 	for i := range units {
-		st = statsAdd(st, units[i].Stats)
-		mt = meterAdd(mt, units[i].Meter)
 		coverage[i] = units[i].Meter.Coverage()
 		accuracy[i] = units[i].Meter.Accuracy()
 	}
-
-	name := "baseline"
-	if pf != nil {
-		name = pf().Name()
+	// Earlier auto-tune rounds were fast-forwarded too.
+	res.FFInsts, res.FFSeconds = ffInsts, ffSeconds
+	res.Sampling = &SamplingReport{
+		PlannedUnits: len(out.Plan.Units),
+		UnitInsts:    out.Plan.UnitInsts,
+		WarmupInsts:  sp.warmupInsts(),
+		Seed:         sp.Seed,
+		TargetCI:     sp.TargetCI,
+		Rounds:       out.Rounds,
+		Converged:    out.Converged,
+		SampledInsts: res.Stats.Retired,
+		IPC:          out.Metric,
+		Coverage:     sample.Estimate(coverage),
+		Accuracy:     sample.Estimate(accuracy),
+		Units:        units,
 	}
-	return Result{
-		Workload:  w.Name,
-		Category:  w.Category,
-		Core:      coreCfg.Name,
-		Predictor: name,
-		// Sampled units always warm through the functional taps; record
-		// the path that actually ran rather than the (unused) run-level
-		// warmup mode.
-		WarmupMode: WarmupFunctional,
-		IPC:        st.IPC(),
-		Coverage:   mt.Coverage(),
-		Accuracy:   mt.Accuracy(),
-		Stats:      st,
-		Meter:      mt,
-		FFInsts:    ffInsts,
-		FFSeconds:  ffSeconds,
-		Sampling: &SamplingReport{
-			PlannedUnits: len(out.Plan.Units),
-			UnitInsts:    out.Plan.UnitInsts,
-			WarmupInsts:  sp.warmupInsts(),
-			Seed:         sp.Seed,
-			TargetCI:     sp.TargetCI,
-			Rounds:       out.Rounds,
-			Converged:    out.Converged,
-			SampledInsts: st.Retired,
-			IPC:          out.Metric,
-			Coverage:     sample.Estimate(coverage),
-			Accuracy:     sample.Estimate(accuracy),
-			Units:        units,
-		},
-	}, nil
-}
-
-// runSampleRound simulates one planned round: the checkpoint scan plus the
-// parallel per-unit detail simulations. It returns the per-unit results in
-// plan order along with the scan's fast-forward accounting.
-func runSampleRound(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options, plan sample.Plan) ([]SampleUnitResult, uint64, float64, error) {
-	warm := opt.Sampling.warmupInsts()
-
-	// Checkpoint scan: pure architectural execution visits each unit's
-	// warmup start in ascending order. Unit i's measured slice begins at
-	// absolute position WarmupInsts + Start_i; its warmup begins warm
-	// instructions earlier, clamped at the stream start (only reachable
-	// when the run-level warmup region is shorter than the unit warmup).
-	t0 := time.Now()
-	ex := prog.NewExec(p)
-	cps := make([]*prog.Checkpoint, len(plan.Units))
-	warms := make([]uint64, len(plan.Units))
-	for i, u := range plan.Units {
-		measureStart := opt.WarmupInsts + u.Start
-		warms[i] = warm
-		if warms[i] > measureStart {
-			warms[i] = measureStart
-		}
-		if at := measureStart - warms[i]; at > ex.Seq() {
-			ex.Run(at-ex.Seq(), nil)
-		}
-		cps[i] = ex.Checkpoint()
-	}
-	scanInsts := ex.Seq()
-	scanSeconds := time.Since(t0).Seconds()
-
-	workers := opt.RegionWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	units := make([]SampleUnitResult, len(plan.Units))
-	errs := make([]error, len(plan.Units))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range plan.Units {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var pred vp.Predictor
-			if pf != nil {
-				pred = pf()
-			}
-			unitOpt := opt
-			unitOpt.WarmupMode = WarmupFunctional
-			unitOpt.WarmupInsts = warms[i]
-			exU := cps[i].Restore()
-			seg, err := runSegmentCtx(ctx, coreCfg, pred, exU, cps[i].Memory(), p.WarmRanges, unitOpt, plan.Units[i].Len)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			units[i] = SampleUnitResult{
-				Index:       i,
-				StartSeq:    cps[i].Seq() + warms[i],
-				WarmupInsts: warms[i],
-				IPC:         seg.stats.IPC(),
-				Stats:       seg.stats,
-				Meter:       seg.meter,
-				FFInsts:     seg.ffInsts,
-				FFSeconds:   seg.ffSeconds,
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	return units, scanInsts, scanSeconds, nil
+	return res, nil
 }
