@@ -522,7 +522,7 @@ type Metrics struct {
 	// ticking, in SkipEvents jumps — a simulator-speed meter, not a machine
 	// property: skipped cycles are fully accounted in Cycles and
 	// CycleBreakdown, and both fields are 0 when idle-cycle elision is off
-	// (-tags ooo_noskip or ooo.Config.DisableIdleElision).
+	// (ooo.Config.DisableIdleElision).
 	SkippedCycles uint64 `json:"skipped_cycles"`
 	SkipEvents    uint64 `json:"skip_events"`
 	// WarmupMode records which warmup path produced the run ("detailed"

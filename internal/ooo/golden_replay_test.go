@@ -7,7 +7,7 @@ package ooo_test
 // matrix pins. Passing means two things at once: the trace codec round-trips
 // every field the timing model reads, and the SoA core is source-agnostic —
 // bit-identical stats whether micro-ops arrive from the functional generator
-// or from a MemReader. This is the guarantee that lets fvpbench and the
+// or from a MemReader, with idle-cycle elision on or off. This is the guarantee that lets fvpbench and the
 // cycle-loop benchmarks use replay as their default input.
 
 import (
@@ -47,25 +47,29 @@ func TestGoldenStatsReplay(t *testing.T) {
 				key := goldenKey(wl.Name, cfg.Name, pred)
 				t.Run(key, func(t *testing.T) {
 					t.Parallel()
-					src, err := trace.NewMemReader(data, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p := wl.Build()
-					c := ooo.New(cfg, goldenPredictor(pred), src, p.BuildMemory())
-					c.WarmCaches(p.WarmRanges)
-					st := c.Run(goldenInsts)
-					st.SkippedCycles = 0
-					st.SkipEvents = 0
 					exp, ok := want[key]
 					if !ok {
 						t.Fatalf("no golden record for %s (run with -update)", key)
 					}
-					if !reflect.DeepEqual(st, exp.Stats) {
-						t.Errorf("replayed RunStats diverged from golden:\n got: %+v\nwant: %+v", st, exp.Stats)
-					}
-					if c.Meter != exp.Meter {
-						t.Errorf("replayed vp.Meter diverged from golden:\n got: %+v\nwant: %+v", c.Meter, exp.Meter)
+					for _, arm := range goldenArms {
+						src, err := trace.NewMemReader(data, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						p := wl.Build()
+						cfg := cfg
+						cfg.DisableIdleElision = arm.tick
+						c := ooo.New(cfg, goldenPredictor(pred), src, p.BuildMemory())
+						c.WarmCaches(p.WarmRanges)
+						st := c.Run(goldenInsts)
+						st.SkippedCycles = 0
+						st.SkipEvents = 0
+						if !reflect.DeepEqual(st, exp.Stats) {
+							t.Errorf("%s: replayed RunStats diverged from golden:\n got: %+v\nwant: %+v", arm.name, st, exp.Stats)
+						}
+						if c.Meter != exp.Meter {
+							t.Errorf("%s: replayed vp.Meter diverged from golden:\n got: %+v\nwant: %+v", arm.name, c.Meter, exp.Meter)
+						}
 					}
 				})
 			}

@@ -6,7 +6,8 @@ package ooo_test
 // checked-in snapshot. Any change to the simulated microarchitecture — even
 // a one-cycle shift in a single run — fails here, which is what lets the
 // scheduler internals be rewritten for speed with proof that the modeled
-// machine is untouched.
+// machine is untouched. Every cell runs twice, with idle-cycle elision on
+// and off (Config.DisableIdleElision), against the same snapshot.
 //
 // Regenerate after an intentional model change with:
 //
@@ -74,18 +75,27 @@ func goldenKey(wl, coreName, pred string) string {
 	return fmt.Sprintf("%s/%s/%s", wl, coreName, pred)
 }
 
-// runGoldenCase simulates one matrix cell from a cold start.
-func runGoldenCase(wl workload.Workload, cfg ooo.Config, pred string) goldenRecord {
+// goldenArms are the two cycle-loop paths every matrix cell runs: idle-cycle
+// elision on (the default) and off (per-cycle ticking).
+var goldenArms = []struct {
+	name string
+	tick bool
+}{{"elided", false}, {"ticking", true}}
+
+// runGoldenCase simulates one matrix cell from a cold start, on the ticking
+// path when tick is set.
+func runGoldenCase(wl workload.Workload, cfg ooo.Config, pred string, tick bool) goldenRecord {
 	p := wl.Build()
+	cfg.DisableIdleElision = tick
 	c := ooo.New(cfg, goldenPredictor(pred), prog.NewExec(p), p.BuildMemory())
 	c.WarmCaches(p.WarmRanges)
 	st := c.Run(goldenInsts)
 	// SkippedCycles/SkipEvents describe the simulator (how many cycles the
 	// loop clock-jumped), not the simulated machine, and legitimately differ
-	// between the default and ooo_noskip builds. Zeroing them here makes the
+	// between the elided and ticking paths. Zeroing them here makes the
 	// snapshot comparison a pure machine-model check — and makes the matrix
 	// itself the bit-exactness proof for idle-cycle elision, since both
-	// builds must match the same snapshot.
+	// paths must match the same snapshot.
 	st.SkippedCycles = 0
 	st.SkipEvents = 0
 	return goldenRecord{
@@ -137,12 +147,14 @@ func TestGoldenStats(t *testing.T) {
 					if !ok {
 						t.Fatalf("no golden record for %s (run with -update)", key)
 					}
-					got := runGoldenCase(wl, cfg, pred)
-					if !reflect.DeepEqual(got.Stats, exp.Stats) {
-						t.Errorf("RunStats diverged from golden:\n got: %+v\nwant: %+v", got.Stats, exp.Stats)
-					}
-					if got.Meter != exp.Meter {
-						t.Errorf("vp.Meter diverged from golden:\n got: %+v\nwant: %+v", got.Meter, exp.Meter)
+					for _, arm := range goldenArms {
+						got := runGoldenCase(wl, cfg, pred, arm.tick)
+						if !reflect.DeepEqual(got.Stats, exp.Stats) {
+							t.Errorf("%s: RunStats diverged from golden:\n got: %+v\nwant: %+v", arm.name, got.Stats, exp.Stats)
+						}
+						if got.Meter != exp.Meter {
+							t.Errorf("%s: vp.Meter diverged from golden:\n got: %+v\nwant: %+v", arm.name, got.Meter, exp.Meter)
+						}
 					}
 				})
 			}
@@ -159,7 +171,7 @@ func updateGolden(t *testing.T) {
 		}
 		for _, cfg := range goldenCores() {
 			for _, pred := range goldenPredictors {
-				recs = append(recs, runGoldenCase(wl, cfg, pred))
+				recs = append(recs, runGoldenCase(wl, cfg, pred, false))
 			}
 		}
 	}
@@ -182,8 +194,8 @@ func updateGolden(t *testing.T) {
 // predictor) — no map-iteration order, timing, or shared-state dependence.
 func TestGoldenDeterminism(t *testing.T) {
 	wl, _ := workload.ByName("omnetpp")
-	a := runGoldenCase(wl, ooo.Skylake(), "FVP")
-	b := runGoldenCase(wl, ooo.Skylake(), "FVP")
+	a := runGoldenCase(wl, ooo.Skylake(), "FVP", false)
+	b := runGoldenCase(wl, ooo.Skylake(), "FVP", false)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical runs diverged:\n a: %+v\n b: %+v", a, b)
 	}
