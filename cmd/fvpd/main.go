@@ -36,8 +36,7 @@
 // GET /v1/runs/{id} (status, result, and live progress),
 // DELETE /v1/runs/{id}, GET /v1/workloads, GET /v1/predictors,
 // GET /v1/cluster (ring membership and peer health),
-// GET /v1/metrics (Prometheus text), GET /healthz. The pre-versioning
-// unversioned paths still answer, with a Deprecation header. With -pprof
+// GET /v1/metrics (Prometheus text), GET /healthz. With -pprof
 // the Go profiling handlers are additionally served under /debug/pprof/.
 package main
 

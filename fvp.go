@@ -875,22 +875,6 @@ func CompareSuiteContext(ctx context.Context, spec SuiteSpec) ([]Comparison, err
 	return out, nil
 }
 
-// CompareSuite runs baseline and predictor over every workload (in
-// parallel) and returns per-workload comparisons in study-list order.
-//
-// Deprecated: Use CompareSuiteContext, which takes a SuiteSpec (self-
-// describing fields instead of four positional numbers) and supports
-// cancellation and workload subsets. This wrapper remains for source
-// compatibility.
-func CompareSuite(machine Machine, pred Predictor, warmup, measure uint64) ([]Comparison, error) {
-	return CompareSuiteContext(context.Background(), SuiteSpec{
-		Machine:      machine,
-		Predictor:    pred,
-		WarmupInsts:  warmup,
-		MeasureInsts: measure,
-	})
-}
-
 // Geomean returns the geometric-mean speedup of comparisons.
 func Geomean(cs []Comparison) float64 {
 	pairs := make([]harness.Pair, len(cs))

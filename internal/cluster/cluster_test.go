@@ -318,6 +318,22 @@ func TestByIDRouting(t *testing.T) {
 		}
 	}
 
+	// The unversioned paths are not routed, by the cluster layer or the
+	// service behind it.
+	for _, path := range []string{"/runs", "/runs/" + id} {
+		resp, err := http.Get(tc.srvs[other].URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if resp, _ := postBody(t, tc.srvs[other].URL+"/runs", specBody(11000, "")); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /runs: HTTP %d, want 404", resp.StatusCode)
+	}
+
 	tc.srvs[owner].Close()
 	resp, err := http.Get(tc.srvs[other].URL + "/v1/runs/" + id)
 	if err != nil {

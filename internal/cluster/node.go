@@ -228,14 +228,11 @@ func (n *Node) Handler() http.Handler {
 		return mux
 	}
 	mux.HandleFunc("POST /v1/runs", n.handleSubmit)
-	mux.HandleFunc("POST /runs", n.handleSubmit)
 	mux.HandleFunc("PUT /v1/replicas/{key}", n.handleReplicaPut)
 	byID := func(pattern string) { mux.HandleFunc(pattern, n.handleByID) }
 	byID("GET /v1/runs/{id}")
 	byID("GET /v1/runs/{id}/trace")
 	byID("DELETE /v1/runs/{id}")
-	byID("GET /runs/{id}")
-	byID("DELETE /runs/{id}")
 	mux.Handle("/", n.inner)
 	return mux
 }
@@ -332,12 +329,6 @@ type submitOutcome struct {
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/runs" {
-		// The legacy unversioned alias keeps its deprecation signal even
-		// when the cluster layer answers instead of the service.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/runs>; rel="successor-version"`)
-	}
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
@@ -628,7 +619,7 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		defer resp.Body.Close()
-		for _, k := range []string{"Content-Type", "Retry-After", "Deprecation", "Link"} {
+		for _, k := range []string{"Content-Type", "Retry-After"} {
 			if v := resp.Header.Get(k); v != "" {
 				w.Header().Set(k, v)
 			}

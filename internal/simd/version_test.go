@@ -10,73 +10,18 @@ import (
 	"fvp"
 )
 
-// TestLegacyAliasesDeprecated checks the pre-versioning unversioned paths
-// still answer identically to their /v1 successors, but flag themselves
-// with a Deprecation header and a successor-version Link.
-func TestLegacyAliasesDeprecated(t *testing.T) {
+// TestUnversionedRoutesGone checks the pre-versioning paths are not
+// served: the API lives under /v1 only (plus /healthz).
+func TestUnversionedRoutesGone(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
-	for _, tc := range []struct{ legacy, successor string }{
-		{"/workloads", "/v1/workloads"},
-		{"/predictors", "/v1/predictors"},
-		{"/metrics", "/v1/metrics"},
-	} {
-		legacyResp, err := http.Get(srv.URL + tc.legacy)
+	for _, path := range []string{"/runs", "/runs/j-00000001", "/workloads", "/predictors", "/metrics"} {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacyBody, _ := io.ReadAll(legacyResp.Body)
-		legacyResp.Body.Close()
-		if legacyResp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: HTTP %d", tc.legacy, legacyResp.StatusCode)
-		}
-		if got := legacyResp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s: Deprecation header = %q, want \"true\"", tc.legacy, got)
-		}
-		link := legacyResp.Header.Get("Link")
-		if !strings.Contains(link, tc.successor) || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s: Link header = %q, want successor-version pointing at %s", tc.legacy, link, tc.successor)
-		}
-
-		v1Resp, err := http.Get(srv.URL + tc.successor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Body, _ := io.ReadAll(v1Resp.Body)
-		v1Resp.Body.Close()
-		if v1Resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s: canonical route must not carry a Deprecation header", tc.successor)
-		}
-		// The metrics bodies include per-endpoint request counters that the
-		// requests themselves bump, so compare JSON endpoints only.
-		if tc.legacy != "/metrics" && string(legacyBody) != string(v1Body) {
-			t.Errorf("GET %s and %s answered differently:\n%s\n---\n%s", tc.legacy, tc.successor, legacyBody, v1Body)
-		}
-	}
-}
-
-// TestLegacyRunsAlias submits through the legacy /runs path end to end.
-func TestLegacyRunsAlias(t *testing.T) {
-	_, srv := newTestServer(t, Config{Workers: 1})
-	resp, out := postRuns(t, srv.URL+"/runs?wait=1",
-		`{"workload":"omnetpp","warmup_insts":1000,"measure_insts":2000}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy submit: HTTP %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy submit response must carry Deprecation: true")
-	}
-	if len(out.Jobs) != 1 || out.Jobs[0].State != StateDone {
-		t.Fatalf("legacy submit outcome: %+v", out.Jobs)
-	}
-	// The job is fetchable via both path generations.
-	for _, p := range []string{"/runs/", "/v1/runs/"} {
-		r, err := http.Get(srv.URL + p + out.Jobs[0].ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Errorf("GET %s%s: HTTP %d", p, out.Jobs[0].ID, r.StatusCode)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
