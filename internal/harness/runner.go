@@ -308,37 +308,15 @@ func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf 
 	if pred != nil {
 		name = pred.Name()
 	}
-	return Result{
-		Workload:   w.Name,
-		Category:   w.Category,
-		Core:       coreCfg.Name,
-		Predictor:  name,
-		WarmupMode: opt.warmupMode(),
-		IPC:        seg.stats.IPC(),
-		Coverage:   seg.meter.Coverage(),
-		Accuracy:   seg.meter.Accuracy(),
-		Stats:      seg.stats,
-		Meter:      seg.meter,
-		FFInsts:    seg.ffInsts,
-		FFSeconds:  seg.ffSeconds,
-	}, nil
-}
-
-// segment is the measured outcome of one (warmup, measure) slice on one
-// core.
-type segment struct {
-	stats     ooo.RunStats
-	meter     vp.Meter
-	ffInsts   uint64
-	ffSeconds float64
+	return stitch(w, coreCfg, name, opt.warmupMode(), []UnitResult{seg}, 0, 0), nil
 }
 
 // runSegmentCtx simulates one contiguous (warmup, measure) slice: it
 // acquires a core over ex (whose architectural memory image is mem), warms
 // caches and then the machine per opt.WarmupMode, and measures measure
 // instructions. It is the shared engine of the single-region path and of
-// every unit runUnits executes.
-func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, ex *prog.Exec, mem *prog.Memory, warmRanges []prog.WarmRange, opt Options, measure uint64) (segment, error) {
+// every unit runUnits executes; the caller fills in the unit's position.
+func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, ex *prog.Exec, mem *prog.Memory, warmRanges []prog.WarmRange, opt Options, measure uint64) (UnitResult, error) {
 	var c *ooo.Core
 	if opt.ReuseCores {
 		c = acquireCore(coreCfg, pred, ex, mem)
@@ -348,21 +326,21 @@ func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, e
 	}
 	c.WarmCaches(warmRanges)
 
-	var seg segment
+	var seg UnitResult
 	if opt.warmupMode() == WarmupFunctional {
 		tail := detailTail(opt.WarmupInsts)
 		t0 := time.Now()
-		seg.ffInsts = c.WarmFunctional(opt.WarmupInsts - tail)
-		seg.ffSeconds = time.Since(t0).Seconds()
+		seg.FFInsts = c.WarmFunctional(opt.WarmupInsts - tail)
+		seg.FFSeconds = time.Since(t0).Seconds()
 		// Detailed tail: re-converge timing-born predictor state (FVP
 		// criticality, confidence counters) on the real pipeline just
 		// before measurement — the classic sampled-simulation split of
 		// functional warming plus a short detailed warmup.
 		if _, err := c.RunCtx(ctx, c.Stats.Retired+tail); err != nil {
-			return segment{}, err
+			return UnitResult{}, err
 		}
 	} else if _, err := c.RunCtx(ctx, opt.WarmupInsts); err != nil {
-		return segment{}, err
+		return UnitResult{}, err
 	}
 	warmStats := c.Stats
 	warmMeter := c.Meter
@@ -382,11 +360,12 @@ func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, e
 	// the historical WarmupInsts+MeasureInsts bound), in functional mode
 	// retirement hasn't moved and the bound is just the measured length.
 	if _, err := c.RunCtx(ctx, warmStats.Retired+measure); err != nil {
-		return segment{}, err
+		return UnitResult{}, err
 	}
 	c.FinishObservation()
-	seg.stats = statsDelta(warmStats, c.Stats)
-	seg.meter = meterDelta(warmMeter, c.Meter)
+	seg.Stats = statsDelta(warmStats, c.Stats)
+	seg.Meter = meterDelta(warmMeter, c.Meter)
+	seg.IPC = seg.Stats.IPC()
 	return seg, nil
 }
 

@@ -107,16 +107,8 @@ func runUnits(ctx context.Context, w workload.Workload, p *prog.Program, coreCfg
 				errs[i] = err
 				return
 			}
-			results[i] = UnitResult{
-				Index:       i,
-				StartSeq:    cps[i].Seq() + warms[i],
-				WarmupInsts: warms[i],
-				IPC:         seg.stats.IPC(),
-				Stats:       seg.stats,
-				Meter:       seg.meter,
-				FFInsts:     seg.ffInsts,
-				FFSeconds:   seg.ffSeconds,
-			}
+			seg.Index, seg.StartSeq, seg.WarmupInsts = i, cps[i].Seq()+warms[i], warms[i]
+			results[i] = seg
 		}(i)
 	}
 	wg.Wait()
