@@ -155,11 +155,11 @@ type RunStats struct {
 	Breakdown CycleBreakdown
 
 	// SkippedCycles counts the cycles the loop clock-jumped instead of
-	// ticking (always a subset of Cycles; 0 under
-	// Config.DisableIdleElision) and SkipEvents the number of jumps. They
-	// describe the simulator, not the simulated machine: every skipped
-	// cycle is still present in Cycles and the stall breakdown, which stay
-	// byte-identical to the ticking loop.
+	// ticking (always a subset of Cycles; 0 under Config.DisableIdleElision)
+	// and SkipEvents the number of jumps. They describe the simulator, not
+	// the simulated machine: every skipped cycle is still present in Cycles
+	// and the stall breakdown, which stay byte-identical to the ticking
+	// loop.
 	SkippedCycles uint64
 	SkipEvents    uint64
 }

@@ -7,8 +7,9 @@ package ooo_test
 // matrix pins. Passing means two things at once: the trace codec round-trips
 // every field the timing model reads, and the SoA core is source-agnostic —
 // bit-identical stats whether micro-ops arrive from the functional generator
-// or from a MemReader, with idle-cycle elision on or off. This is the guarantee that lets fvpbench and the
-// cycle-loop benchmarks use replay as their default input.
+// or from a MemReader, with idle-cycle elision on or off. This is the
+// guarantee that lets fvpbench and the cycle-loop benchmarks use replay as
+// their default input.
 
 import (
 	"reflect"
