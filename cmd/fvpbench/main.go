@@ -288,10 +288,8 @@ type ServiceSection struct {
 // was measured under — part of the environment block so request-plane
 // numbers are comparable across hosts and configurations.
 type RequestPlaneEnv struct {
-	BatchWindow    string `json:"batch_window"`
-	BatchMax       int    `json:"batch_max"`
-	Replicas       int    `json:"replicas"`
-	ReplicateAfter int    `json:"replicate_after"`
+	BatchWindow string `json:"batch_window"`
+	BatchMax    int    `json:"batch_max"`
 }
 
 // StoreBench is one fvpd store-backend row: the durable-write cost
@@ -315,7 +313,7 @@ type Report struct {
 	// GOMAXPROCS is the scheduler's worker-thread cap at measurement
 	// time; with NumCPU it makes throughput comparable across hosts.
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// RequestPlane is the batch/replication configuration the Service
+	// RequestPlane is the micro-batching configuration the Service
 	// section ran under.
 	RequestPlane RequestPlaneEnv `json:"request_plane"`
 
@@ -944,10 +942,8 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		RequestPlane: RequestPlaneEnv{
-			BatchWindow:    svcBatchWindow.String(),
-			BatchMax:       svcBatchMax,
-			Replicas:       0, // the flood runs single-node; cluster replication is off
-			ReplicateAfter: 3,
+			BatchWindow: svcBatchWindow.String(),
+			BatchMax:    svcBatchMax,
 		},
 		CycleLoop:          cl,
 		Reference:          reference,

@@ -73,8 +73,6 @@ func main() {
 		tenantDefQ = flag.String("tenant-default-quota", "", "quota for tenants not named in -tenant-quota, as rate[:burst[:weight]]")
 		batchWin   = flag.Duration("batch-window", 0, "micro-batch window: coalesce concurrent submits (and cluster forwards) arriving within this window into one admission/store/forward transaction (0 = off)")
 		batchMax   = flag.Int("batch-max", 0, "max requests coalesced per micro-batch; a full window flushes early (0 = 256)")
-		replicas   = flag.Int("replicas", 0, "push hot results to this many ring successors and serve replicated keys locally on non-owners (with -peers; 0 = off)")
-		replAfter  = flag.Int("replicate-after", 0, "submits an owner must see for a key before replicating its result (0 = 3)")
 		sloTarget  = flag.Duration("slo-target", 0, "latency SLO target annotated on the fvpd_request_seconds HELP text (0 = none)")
 	)
 	flag.Parse()
@@ -126,7 +124,6 @@ func main() {
 	}
 	node, err := cluster.New(cluster.Config{
 		Service: svc, Self: *nodeID, Peers: peers,
-		Replicas: *replicas, ReplicateAfter: *replAfter,
 		BatchWindow: *batchWin, BatchMax: *batchMax,
 	})
 	if err != nil {

@@ -376,6 +376,45 @@ func TestForwardedSubmitStaysLocal(t *testing.T) {
 	}
 }
 
+// TestNoExternalCacheWrites: a node's result cache is filled only by
+// simulations that node ran. A PUT of metrics at the route the removed
+// hot-result push used must be refused, and the next submit of that
+// spec must simulate instead of answering with the planted numbers.
+func TestNoExternalCacheWrites(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	owner, _ := tc.ownerAndOther(t, 17000)
+	key := simd.SpecKey(specFor(17000))
+
+	req, err := http.NewRequest(http.MethodPut, tc.srvs[owner].URL+"/v1/repl"+"icas/"+key,
+		strings.NewReader(`{"ipc":42,"cycles":1,"insts":42}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode/100 != 4 {
+		t.Fatalf("PUT of a result: HTTP %d, want 4xx", resp.StatusCode)
+	}
+
+	resp2, out := postBody(t, tc.srvs[owner].URL+"/v1/runs?wait=1", specBody(17000, ""))
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("submit: HTTP %d", resp2.StatusCode)
+	}
+	st := out.Jobs[0]
+	if st.State != simd.StateDone || st.Cached || st.Metrics == nil || st.Metrics.IPC != 1 {
+		t.Fatalf("submit after PUT: state %s cached=%v metrics %+v, want a fresh run with IPC 1",
+			st.State, st.Cached, st.Metrics)
+	}
+	if got := tc.runs[owner].Load(); got != 1 {
+		t.Fatalf("owner ran %d simulations, want 1", got)
+	}
+}
+
 // TestClusterStatusAndMetrics: GET /v1/cluster lists the full ring, and
 // the forwarding counters ride the service's /v1/metrics exposition
 // with HELP/TYPE metadata.
@@ -557,5 +596,68 @@ func TestQuotaRejectionPropagates(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Fvpd-Tenant"); got != "flood" {
 		t.Errorf("forwarded 429 X-Fvpd-Tenant = %q", got)
+	}
+}
+
+// forwardedFrom sums the forward round trips a node has completed to
+// all its peers.
+func (tc *testCluster) forwardedFrom(via string) uint64 {
+	var n uint64
+	for _, p := range tc.nodes[via].ClusterStatus().Peers {
+		n += p.Forwarded
+	}
+	return n
+}
+
+// TestForwardCoalescing: concurrent submits through a non-owner that
+// target the same peer merge into one forwarded POST — BatchMax riders,
+// a single HTTP round trip, every caller getting its own status back.
+func TestForwardCoalescing(t *testing.T) {
+	const riders = 4
+	tc := newTestCluster(t, 2, func(c *Config) {
+		// Only the BatchMax trigger can flush: the window is never
+		// waited out, so the merge is deterministic.
+		c.BatchWindow = time.Minute
+		c.BatchMax = riders
+	})
+
+	// Four distinct specs owned by the same (remote) node.
+	owner, via := tc.ownerAndOther(t, 50000)
+	insts := []int{50000}
+	for next := 50001; len(insts) < riders; next++ {
+		if tc.nodes[via].Owner(simd.SpecKey(specFor(next))) == owner {
+			insts = append(insts, next)
+		}
+	}
+
+	var wg sync.WaitGroup
+	statuses := make([]simd.JobStatus, riders)
+	codes := make([]int, riders)
+	for i := 0; i < riders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, out := postBody(t, tc.srvs[via].URL+"/v1/runs?wait=1", specBody(insts[i], ""))
+			codes[i] = resp.StatusCode
+			if resp.StatusCode == http.StatusOK {
+				statuses[i] = out.Jobs[0]
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	for i := 0; i < riders; i++ {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("rider %d: HTTP %d", i, codes[i])
+		}
+		if statuses[i].State != simd.StateDone || statuses[i].Node != owner {
+			t.Fatalf("rider %d: state %s on %s, want done on %s", i, statuses[i].State, statuses[i].Node, owner)
+		}
+	}
+	if got := tc.runs[owner].Load(); got != riders {
+		t.Fatalf("owner ran %d simulations, want %d", got, riders)
+	}
+	if got := tc.forwardedFrom(via); got != 1 {
+		t.Fatalf("%d forwarded round trips for %d riders, want 1", got, riders)
 	}
 }

@@ -60,32 +60,40 @@ type peer struct {
 }
 
 // begin gates a forward attempt: it returns errBreakerOpen while the
-// breaker is open and inside its cooldown, and otherwise registers the
-// attempt (moving an expired open breaker to half-open so exactly this
-// attempt serves as the probe).
-func (p *peer) begin(now time.Time) error {
+// breaker is open and inside its cooldown or while a half-open probe is
+// outstanding, and otherwise registers the attempt. An expired open
+// breaker moves to half-open and this attempt becomes the probe; the
+// caller hands probe back to done.
+func (p *peer) begin(now time.Time) (probe bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.state == breakerOpen {
+	switch p.state {
+	case breakerHalfOpen:
+		return false, errBreakerOpen
+	case breakerOpen:
 		if now.Sub(p.openedAt) < p.cooldown {
-			return errBreakerOpen
+			return false, errBreakerOpen
 		}
 		p.state = breakerHalfOpen
+		probe = true
 	}
 	p.inflight++
-	return nil
+	return probe, nil
 }
 
 // done records the attempt's outcome. transportErr is non-nil only for
 // transport-level failures; canceled marks failures caused by the
 // caller's own context, which are neutral (the attempt is unwound
-// without moving the breaker either way).
-func (p *peer) done(transportErr error, canceled bool, now time.Time) {
+// without moving the breaker either way). A canceled probe returns the
+// breaker to open with its cooldown spent, so the next attempt probes;
+// a canceled attempt that began before the breaker opened must not, or
+// a second probe would be admitted while the first is outstanding.
+func (p *peer) done(probe bool, transportErr error, canceled bool, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.inflight--
 	if canceled {
-		if p.state == breakerHalfOpen {
+		if probe && p.state == breakerHalfOpen {
 			p.state = breakerOpen // the probe resolved nothing; stay open
 		}
 		return

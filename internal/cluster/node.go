@@ -63,14 +63,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker fails fast before
 	// letting one probe through; default 5s.
 	BreakerCooldown time.Duration
-	// Replicas is how many ring successors a hot result is pushed to,
-	// and the opt-in for serving replicated keys locally on non-owners.
-	// 0 (the default) disables replication entirely.
-	Replicas int
-	// ReplicateAfter is the demand threshold: a self-owned key is pushed
-	// to its successors once the owner has seen this many submits for it.
-	// Default 3.
-	ReplicateAfter int
 	// BatchWindow enables forward coalescing: owner groups headed to the
 	// same peer within one window merge into a single forwarded POST.
 	// 0 (the default) forwards each group immediately.
@@ -126,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.ReplicateAfter <= 0 {
-		c.ReplicateAfter = 3
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 256
 	}
@@ -147,10 +136,8 @@ type Node struct {
 	peers map[string]*peer // remote members only (never Self)
 	hc    *http.Client
 
-	// rep is the hot-result replication engine; nil outside cluster mode.
-	rep *replicator
 	// fwdHist is fvpd_forward_seconds{peer}: round-trip latency of every
-	// breaker-gated forward (submits, by-ID lookups, replica pushes).
+	// breaker-gated forward (submits, by-ID lookups).
 	fwdHist *telemetry.Vec
 
 	// fwd holds the per-(peer, wait-mode) forward coalescers, created on
@@ -203,7 +190,6 @@ func New(cfg Config) (*Node, error) {
 	n.fwdHist = telemetry.NewVec(telemetry.NewLatency)
 	n.fwd = make(map[string]*fwdBatcher)
 	if n.clustered() {
-		n.rep = newReplicator(n, cfg.Replicas, cfg.ReplicateAfter)
 		cfg.Service.AddMetricsAppender(n.writeMetrics)
 	}
 	return n, nil
@@ -228,7 +214,6 @@ func (n *Node) Handler() http.Handler {
 		return mux
 	}
 	mux.HandleFunc("POST /v1/runs", n.handleSubmit)
-	mux.HandleFunc("PUT /v1/replicas/{key}", n.handleReplicaPut)
 	byID := func(pattern string) { mux.HandleFunc(pattern, n.handleByID) }
 	byID("GET /v1/runs/{id}")
 	byID("GET /v1/runs/{id}/trace")
@@ -306,15 +291,7 @@ func (n *Node) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "fvpd_forward_errors_total{peer=%q} %d\n", id, n.peers[id].snapshot().ForwardErrors)
 	}
 	n.fwdHist.WriteProm(w, "fvpd_forward_seconds",
-		"Round-trip latency of breaker-gated forwards to each peer (submit batches, by-ID lookups, replica pushes); headers-received, not body drain.")
-	if n.rep != nil {
-		fmt.Fprintf(w, "# HELP fvpd_replica_pushed_total Hot results successfully pushed to each ring successor.\n# TYPE fvpd_replica_pushed_total counter\n")
-		for _, id := range ids {
-			fmt.Fprintf(w, "fvpd_replica_pushed_total{peer=%q} %d\n", id, n.rep.pushed[id].Load())
-		}
-		fmt.Fprintf(w, "# HELP fvpd_replica_received_total Replicated results accepted from owners into the local cache.\n# TYPE fvpd_replica_received_total counter\nfvpd_replica_received_total %d\n", n.rep.received.Load())
-		fmt.Fprintf(w, "# HELP fvpd_replica_hits_total Submits for non-owned keys served from a local replica, zero forward hops.\n# TYPE fvpd_replica_hits_total counter\nfvpd_replica_hits_total %d\n", n.rep.hits.Load())
-	}
+		"Round-trip latency of breaker-gated forwards to each peer (submit batches, by-ID lookups); headers-received, not body drain.")
 }
 
 // --- submit routing ---
@@ -329,31 +306,16 @@ type submitOutcome struct {
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
 	if r.Header.Get(ForwardedHeader) != "" {
 		// Hop limit: a forwarded submit executes here no matter what our
 		// ring says, so two nodes with momentarily different peer lists
 		// cannot bounce a request back and forth.
-		if n.rep != nil {
-			// Forwarded-in traffic is demand the owner must count: hot keys
-			// are usually hot precisely because other nodes keep forwarding
-			// them here.
-			if reqs, _, err := simd.ParseRuns(raw); err == nil {
-				for _, req := range reqs {
-					if flat, err := req.Flattened(); err == nil {
-						if key := simd.SpecKey(flat.RunSpec); n.ring.owner(key) == n.cfg.Self {
-							n.rep.note(key)
-						}
-					}
-				}
-			}
-		}
-		r.Body = io.NopCloser(bytes.NewReader(raw))
 		n.inner.ServeHTTP(w, r)
+		return
+	}
+	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
 	reqs, legacy, err := simd.ParseRuns(raw)
@@ -380,15 +342,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusBadRequest, err)
 			return
 		}
-		key := simd.SpecKey(flat.RunSpec)
-		owner := n.ring.owner(key)
-		if owner == n.cfg.Self {
-			n.rep.note(key)
-		} else if n.rep.servesLocally(key) {
-			// A replicated hot result lives in our own cache: serve it here,
-			// zero hops, and keep serving it if the owner is gone.
-			owner = n.cfg.Self
-		}
+		owner := n.ring.owner(simd.SpecKey(flat.RunSpec))
 		g := groups[owner]
 		if g == nil {
 			g = &group{}
@@ -537,7 +491,8 @@ func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunReques
 // the ForwardTimeout deadline (wait-mode submits are unbounded by
 // design). The returned response's Body is open on success.
 func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, body []byte, bounded bool) (*http.Response, error) {
-	if err := p.begin(time.Now()); err != nil {
+	probe, err := p.begin(time.Now())
+	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := parent, context.CancelFunc(func() {})
@@ -551,7 +506,7 @@ func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, b
 	req, err := http.NewRequestWithContext(ctx, method, p.url+path, rd)
 	if err != nil {
 		cancel()
-		p.done(err, false, time.Now())
+		p.done(probe, err, false, time.Now())
 		return nil, err
 	}
 	if body != nil {
@@ -564,7 +519,7 @@ func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, b
 		// A ForwardTimeout expiry is the peer's failure; the submitting
 		// client's own cancellation (parent done) is nobody's fault.
 		cancel()
-		p.done(err, parent.Err() != nil, time.Now())
+		p.done(probe, err, parent.Err() != nil, time.Now())
 		return nil, err
 	}
 	// Hand the body to the caller; tie the deadline's release to it.
@@ -572,7 +527,7 @@ func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, b
 	// legitimately take as long as the simulation runs.
 	n.fwdHist.With("peer=" + strconv.Quote(p.id)).Observe(time.Since(start).Seconds())
 	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-	p.done(nil, false, time.Now())
+	p.done(probe, nil, false, time.Now())
 	p.responded()
 	return resp, nil
 }

@@ -88,29 +88,3 @@ func (r *ring) owner(key string) string {
 	}
 	return r.points[i].node
 }
-
-// successors returns up to n distinct nodes clockwise after key's owner,
-// excluding the owner itself — the replica set hot results are pushed
-// to. Every node computes the same set, so a non-owner can predict
-// whether it should hold a replica without asking anyone. Fewer than n
-// nodes come back when the ring has fewer members.
-func (r *ring) successors(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	seen := map[string]bool{r.points[i].node: true}
-	var out []string
-	for step := 1; step <= len(r.points) && len(out) < n; step++ {
-		node := r.points[(i+step)%len(r.points)].node
-		if !seen[node] {
-			seen[node] = true
-			out = append(out, node)
-		}
-	}
-	return out
-}

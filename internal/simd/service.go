@@ -927,43 +927,6 @@ func (s *Service) Workers() int { return s.cfg.Workers }
 // ("" outside cluster mode).
 func (s *Service) NodeID() string { return s.cfg.NodeID }
 
-// HasCachedResult reports whether the content-addressed result for a
-// spec key is locally cached — its own computation or a received
-// replica. The cluster layer uses it to serve replicated hot keys with
-// zero forward hops.
-func (s *Service) HasCachedResult(key string) bool {
-	return s.st.Results.Has(key)
-}
-
-// CachedResultBytes returns the encoded cached result for a spec key,
-// the payload the cluster layer pushes to ring successors when a key
-// runs hot.
-func (s *Service) CachedResultBytes(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st.Results.Get(key)
-}
-
-// PutCachedResult installs an encoded result under its spec key — the
-// receiving half of hot-result replication. The payload must decode as
-// fvp.Metrics; garbage is refused rather than cached. Content
-// addressing makes replication trivially coherent: a spec key is the
-// hash of a deterministic simulation's input, so its result is
-// immutable and a replicated entry can never be stale.
-func (s *Service) PutCachedResult(key string, value []byte) error {
-	var m fvp.Metrics
-	if err := json.Unmarshal(value, &m); err != nil {
-		return fmt.Errorf("simd: replicated result for %s undecodable: %w", key, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.st.Results.Put(key, value); err != nil {
-		s.storeErrs.Add(1)
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
-}
-
 // AddMetricsAppender registers fn to run at the end of every metrics
 // exposition (WriteMetrics / GET /v1/metrics). Layers above the service —
 // the cluster router's per-peer forwarding counters — use it so one

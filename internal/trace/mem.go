@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
 
 	"fvp/internal/isa"
 )
@@ -69,16 +68,6 @@ func Record(src interface{ Next(*isa.DynInst) bool }, n uint64) ([]byte, uint64,
 		return nil, i, err
 	}
 	return buf.Bytes(), i, nil
-}
-
-// LoadFile reads a packed trace file into memory and returns a MemReader
-// over it.
-func LoadFile(path string, loop bool) (*MemReader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewMemReader(data, loop)
 }
 
 // Err returns the terminal error, if any (nil after clean EOF).
