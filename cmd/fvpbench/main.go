@@ -29,7 +29,8 @@
 //     memory vs disk — cache hits must stay fsync-free on both.
 //     The service section floods the real HTTP surface of a disk-backed
 //     two-node cluster through the non-owner node, once per-request and
-//     once with the edge micro-batcher and forward coalescer on,
+//     once with one batching window set on each node's service (it
+//     governs both the edge batcher and the forward coalescer),
 //     recording sustained submits/sec and client-observed p50/p99 — the
 //     batcher's amortization of per-hop forwards, admission, and fsync'd
 //     JobStore appends, measured end to end.
@@ -443,8 +444,9 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Simulation workers are gated shut for the flood's duration, so the
 // measurement isolates the sustained submit path: HTTP handling on both
 // nodes, the forward hop, admission, and the owner's fsync'd JobStore
-// append. batched toggles the edge micro-batcher and the forward
-// coalescer; everything else is identical, so the throughput ratio is
+// append. batched sets the batching window on each node's service,
+// which the cluster node in front of it reads for its forward
+// coalescers too; everything else is identical, so the throughput ratio is
 // the batcher's contribution — one forwarded /v1 call and one fsync'd
 // append per flush instead of one per request.
 func measureService(batched bool, clients, requests int) ServiceBench {
@@ -485,15 +487,12 @@ func measureService(batched bool, clients, requests int) ServiceBench {
 				return fvp.Metrics{IPC: 1, Cycles: 1, Insts: 1}, nil
 			},
 		}
-		ccfg := cluster.Config{Service: nil, Self: id, Peers: peers}
 		if batched {
 			cfg.BatchWindow, cfg.BatchMax = svcBatchWindow, svcBatchMax
-			ccfg.BatchWindow, ccfg.BatchMax = svcBatchWindow, svcBatchMax
 		}
 		svc := simd.New(cfg)
 		defer svc.Close()
-		ccfg.Service = svc
-		node, err := cluster.New(ccfg)
+		node, err := cluster.New(cluster.Config{Service: svc, Self: id, Peers: peers})
 		if err != nil {
 			fatalf("service: cluster: %v", err)
 		}

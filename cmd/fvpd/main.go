@@ -71,8 +71,8 @@ func main() {
 		peersFlag  = flag.String("peers", "", "cluster members as id=url,... (all nodes, this one included)")
 		tenantQ    = flag.String("tenant-quota", "", "per-tenant quotas as tenant=rate[:burst[:weight]],...")
 		tenantDefQ = flag.String("tenant-default-quota", "", "quota for tenants not named in -tenant-quota, as rate[:burst[:weight]]")
-		batchWin   = flag.Duration("batch-window", 0, "micro-batch window: coalesce concurrent submits (and cluster forwards) arriving within this window into one admission/store/forward transaction (0 = off)")
-		batchMax   = flag.Int("batch-max", 0, "max requests coalesced per micro-batch; a full window flushes early (0 = 256)")
+		batchWin   = flag.Duration("batch-window", 0, "batching window of the request plane, applied at both hops: concurrent submits arriving within it become one admission + store append, and in a cluster concurrent forwards to one peer become one POST (0 = off)")
+		batchMax   = flag.Int("batch-max", 0, "max requests per batch at either hop; a full window flushes early (0 = 256)")
 		sloTarget  = flag.Duration("slo-target", 0, "latency SLO target annotated on the fvpd_request_seconds HELP text (0 = none)")
 	)
 	flag.Parse()
@@ -122,10 +122,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fvpd: re-dispatched %d jobs recovered from %s\n", n, *dataDir)
 		}
 	}
-	node, err := cluster.New(cluster.Config{
-		Service: svc, Self: *nodeID, Peers: peers,
-		BatchWindow: *batchWin, BatchMax: *batchMax,
-	})
+	node, err := cluster.New(cluster.Config{Service: svc, Self: *nodeID, Peers: peers})
 	if err != nil {
 		svc.Close()
 		fatalf("%v", err)

@@ -20,6 +20,7 @@ package fvp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -392,7 +393,9 @@ func (e *InvalidSpecError) Error() string {
 // an *UnknownNameError (with a did-you-mean hint) for the first field
 // that doesn't resolve, or an *InvalidSpecError for a field whose value
 // is out of range. Services use it to reject bad requests before queueing
-// work.
+// work. The budget caps are the façade's own; the structural rules (unit
+// minimum, detailed budget, regions vs sampling, ...) are
+// harness.Options.Validate's, reported under the spec's JSON field names.
 func Validate(spec RunSpec) error {
 	if _, ok := workload.ByName(spec.Workload); !ok {
 		return unknownName("workload", spec.Workload, workloadNames())
@@ -403,94 +406,52 @@ func Validate(spec RunSpec) error {
 	if _, err := predFactory(spec.Predictor); err != nil {
 		return err
 	}
-	if spec.WarmupInsts > MaxWarmupInsts {
-		return &InvalidSpecError{Field: "warmup_insts", Value: spec.WarmupInsts, Limit: MaxWarmupInsts}
-	}
-	if spec.MeasureInsts > MaxMeasureInsts {
-		return &InvalidSpecError{Field: "measure_insts", Value: spec.MeasureInsts, Limit: MaxMeasureInsts}
-	}
 	switch spec.WarmupMode {
 	case "", string(harness.WarmupDetailed), string(harness.WarmupFunctional):
 	default:
 		return unknownName("warmup mode", spec.WarmupMode, harness.WarmupModes())
 	}
-	if spec.Regions < 0 {
-		return &InvalidSpecError{Field: "regions", Reason: "region count < 1"}
-	}
-	if spec.Regions > MaxRegions {
-		return &InvalidSpecError{Field: "regions", Value: uint64(spec.Regions), Limit: MaxRegions}
-	}
-	if spec.Regions > 1 {
-		if measure := spec.Normalized().MeasureInsts; uint64(spec.Regions) > measure {
-			return &InvalidSpecError{
-				Field: "regions", Value: uint64(spec.Regions), Limit: measure,
-				Reason: "more regions than measured instructions",
-			}
-		}
-		if spec.Observer != nil || spec.Tracer != nil {
-			return &InvalidSpecError{
-				Field:  "regions",
-				Reason: "per-interval observation requires a single region",
-			}
+	sampled := spec.SampleUnits != 0 || spec.SampleTargetCI != 0
+	for _, c := range []struct {
+		field        string
+		over         bool
+		value, limit uint64
+	}{
+		{"warmup_insts", spec.WarmupInsts > MaxWarmupInsts, spec.WarmupInsts, MaxWarmupInsts},
+		{"measure_insts", spec.MeasureInsts > MaxMeasureInsts, spec.MeasureInsts, MaxMeasureInsts},
+		{"regions", spec.Regions > MaxRegions, uint64(spec.Regions), MaxRegions},
+		{"sample_units", sampled && spec.SampleUnits > MaxSampleUnits, uint64(spec.SampleUnits), MaxSampleUnits},
+		{"sample_max_units", sampled && spec.SampleMaxUnits > MaxSampleUnits, uint64(spec.SampleMaxUnits), MaxSampleUnits},
+		{"sample_unit_insts", sampled && spec.SampleUnitInsts > MaxMeasureInsts, spec.SampleUnitInsts, MaxMeasureInsts},
+		{"sample_warmup_insts", sampled && spec.SampleWarmupInsts > MaxWarmupInsts, spec.SampleWarmupInsts, MaxWarmupInsts},
+	} {
+		if c.over {
+			return &InvalidSpecError{Field: c.field, Value: c.value, Limit: c.limit}
 		}
 	}
-	return validateSampling(spec)
+	err := spec.options().Validate()
+	var ioe *harness.InvalidOptionsError
+	if !errors.As(err, &ioe) {
+		return err
+	}
+	field, ok := specFields[ioe.Field]
+	if !ok {
+		field = ioe.Field
+	}
+	return &InvalidSpecError{Field: field, Value: ioe.Value, Limit: ioe.Limit, Reason: ioe.Reason}
 }
 
-// validateSampling checks the sample_* spec fields (no-op when sampling is
-// disabled). The structural rules mirror harness.Options.Validate so bad
-// requests are rejected at the service boundary, before queueing.
-func validateSampling(spec RunSpec) error {
-	if spec.SampleUnits == 0 && spec.SampleTargetCI == 0 {
-		return nil
-	}
-	if spec.SampleUnits < 0 || spec.SampleUnits == 1 {
-		return &InvalidSpecError{
-			Field:  "sample_units",
-			Reason: "at least two sample units are needed for a variance estimate",
-		}
-	}
-	if spec.SampleUnits > MaxSampleUnits {
-		return &InvalidSpecError{Field: "sample_units", Value: uint64(spec.SampleUnits), Limit: MaxSampleUnits}
-	}
-	if spec.SampleTargetCI < 0 || spec.SampleTargetCI >= 1 {
-		return &InvalidSpecError{
-			Field:  "sample_target_ci",
-			Reason: fmt.Sprintf("relative CI target %v outside [0, 1)", spec.SampleTargetCI),
-		}
-	}
-	if spec.SampleMaxUnits < 0 {
-		return &InvalidSpecError{Field: "sample_max_units", Reason: "unit cap < 0"}
-	}
-	if spec.SampleMaxUnits > MaxSampleUnits {
-		return &InvalidSpecError{Field: "sample_max_units", Value: uint64(spec.SampleMaxUnits), Limit: MaxSampleUnits}
-	}
-	if spec.SampleUnitInsts > MaxMeasureInsts {
-		return &InvalidSpecError{Field: "sample_unit_insts", Value: spec.SampleUnitInsts, Limit: MaxMeasureInsts}
-	}
-	if spec.SampleWarmupInsts > MaxWarmupInsts {
-		return &InvalidSpecError{Field: "sample_warmup_insts", Value: spec.SampleWarmupInsts, Limit: MaxWarmupInsts}
-	}
-	n := spec.Normalized()
-	if budget := uint64(n.SampleUnits) * n.SampleUnitInsts; budget > n.MeasureInsts {
-		return &InvalidSpecError{
-			Field: "sample_units", Value: budget, Limit: n.MeasureInsts,
-			Reason: "detailed budget sample_units*sample_unit_insts exceeds the measured region",
-		}
-	}
-	if spec.Regions > 1 {
-		return &InvalidSpecError{
-			Field:  "sample_units",
-			Reason: "sampling and region-parallel runs are mutually exclusive",
-		}
-	}
-	if spec.Observer != nil || spec.Tracer != nil {
-		return &InvalidSpecError{
-			Field:  "sample_units",
-			Reason: "per-interval observation requires a contiguous (non-sampled) run",
-		}
-	}
-	return nil
+// specFields maps harness.Options field names to the RunSpec JSON fields
+// they come from.
+var specFields = map[string]string{
+	"WarmupInsts":       "warmup_insts",
+	"MeasureInsts":      "measure_insts",
+	"WarmupMode":        "warmup_mode",
+	"Regions":           "regions",
+	"Sampling":          "sample_units",
+	"Sampling.Units":    "sample_units",
+	"Sampling.TargetCI": "sample_target_ci",
+	"Sampling.MaxUnits": "sample_max_units",
 }
 
 // Metrics is the measured outcome of a run. The JSON field names are the
@@ -595,7 +556,7 @@ func (s RunSpec) options() harness.Options {
 	if s.WarmupMode != "" {
 		opt.WarmupMode = harness.WarmupMode(s.WarmupMode)
 	}
-	if s.Regions > 0 {
+	if s.Regions != 0 {
 		opt.Regions = s.Regions
 	}
 	if s.RegionWorkers > 0 {
@@ -828,17 +789,6 @@ func CompareSuiteContext(ctx context.Context, spec SuiteSpec) ([]Comparison, err
 	if err != nil {
 		return nil, err
 	}
-	if spec.WarmupInsts > MaxWarmupInsts {
-		return nil, &InvalidSpecError{Field: "warmup_insts", Value: spec.WarmupInsts, Limit: MaxWarmupInsts}
-	}
-	if spec.MeasureInsts > MaxMeasureInsts {
-		return nil, &InvalidSpecError{Field: "measure_insts", Value: spec.MeasureInsts, Limit: MaxMeasureInsts}
-	}
-	switch spec.WarmupMode {
-	case "", string(harness.WarmupDetailed), string(harness.WarmupFunctional):
-	default:
-		return nil, unknownName("warmup mode", spec.WarmupMode, harness.WarmupModes())
-	}
 	ws := workload.All()
 	if len(spec.Workloads) > 0 {
 		ws = make([]workload.Workload, len(spec.Workloads))
@@ -850,11 +800,14 @@ func CompareSuiteContext(ctx context.Context, spec SuiteSpec) ([]Comparison, err
 			ws[i] = w
 		}
 	}
-	runSpec := RunSpec{WarmupInsts: spec.WarmupInsts, MeasureInsts: spec.MeasureInsts,
+	// The run template every pair shares, validated as one spec would be
+	// (the workload only has to resolve; each pair supplies its own).
+	runSpec := RunSpec{Workload: ws[0].Name, Machine: spec.Machine, Predictor: spec.Predictor,
+		WarmupInsts: spec.WarmupInsts, MeasureInsts: spec.MeasureInsts,
 		WarmupMode:  spec.WarmupMode,
 		SampleUnits: spec.SampleUnits, SampleUnitInsts: spec.SampleUnitInsts,
 		SampleTargetCI: spec.SampleTargetCI, SampleSeed: spec.SampleSeed}
-	if err := validateSampling(runSpec); err != nil {
+	if err := Validate(runSpec); err != nil {
 		return nil, err
 	}
 	opt := runSpec.options()

@@ -15,6 +15,7 @@ import (
 
 	"fvp"
 	"fvp/internal/simd"
+	"fvp/internal/store"
 )
 
 func TestRingDeterministicAndCovering(t *testing.T) {
@@ -74,6 +75,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	t.Helper()
+	return newTestClusterSvc(t, n, nil, mut)
+}
+
+// newTestClusterSvc is newTestCluster with a hook on each node's service
+// Config too (NodeID is set when svcMut sees it).
+func newTestClusterSvc(t *testing.T, n int, svcMut func(*simd.Config), mut func(*Config)) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		svcs:  make(map[string]*simd.Service),
 		nodes: make(map[string]*Node),
@@ -93,7 +101,7 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	}
 	for _, id := range tc.ids {
 		id := id
-		svc := simd.New(simd.Config{
+		scfg := simd.Config{
 			Workers: 2, QueueSize: 16, NodeID: id,
 			Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
 				tc.runs[id].Add(1)
@@ -106,7 +114,11 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 				}
 				return fvp.Metrics{IPC: 1, Cycles: 100, Insts: 100}, nil
 			},
-		})
+		}
+		if svcMut != nil {
+			svcMut(&scfg)
+		}
+		svc := simd.New(scfg)
 		cfg := Config{
 			Service: svc, Self: id, Peers: peers,
 			RetryBackoff: time.Millisecond, ForwardTimeout: 2 * time.Second,
@@ -281,7 +293,9 @@ func TestOwnerDownFallsBackLocally(t *testing.T) {
 		}
 	}
 
-	// A second submit fails fast (breaker open: no retries, no backoff).
+	// A second submit fails fast: the open breaker ends the forward at
+	// its first attempt, with no backoff, and the group runs locally.
+	// TestOpenBreakerFailsFast times that against one RetryBackoff.
 	start := time.Now()
 	resp2, _ := postBody(t, tc.srvs[other].URL+"/v1/runs?wait=1", specBody(9001, ""))
 	if resp2.StatusCode != http.StatusOK {
@@ -614,12 +628,12 @@ func (tc *testCluster) forwardedFrom(via string) uint64 {
 // a single HTTP round trip, every caller getting its own status back.
 func TestForwardCoalescing(t *testing.T) {
 	const riders = 4
-	tc := newTestCluster(t, 2, func(c *Config) {
+	tc := newTestClusterSvc(t, 2, func(c *simd.Config) {
 		// Only the BatchMax trigger can flush: the window is never
 		// waited out, so the merge is deterministic.
 		c.BatchWindow = time.Minute
 		c.BatchMax = riders
-	})
+	}, nil)
 
 	// Four distinct specs owned by the same (remote) node.
 	owner, via := tc.ownerAndOther(t, 50000)
@@ -659,5 +673,119 @@ func TestForwardCoalescing(t *testing.T) {
 	}
 	if got := tc.forwardedFrom(via); got != 1 {
 		t.Fatalf("%d forwarded round trips for %d riders, want 1", got, riders)
+	}
+}
+
+// TestOpenBreakerFailsFast: with the owner down and its breaker open, a
+// forward ends at its first attempt with no backoff sleep. A submit of
+// a spec the dead peer owns falls back locally, and a by-ID lookup of
+// one of its jobs answers 502 + X-Fvpd-Forward-Peer, each in less than
+// one RetryBackoff.
+func TestOpenBreakerFailsFast(t *testing.T) {
+	const backoff = 300 * time.Millisecond
+	tc := newTestCluster(t, 2, func(c *Config) {
+		c.Retries = 2
+		c.RetryBackoff = backoff
+		c.BreakerThreshold = 1
+		c.BreakerCooldown = time.Hour
+	})
+	owner, other := tc.ownerAndOther(t, 60000)
+	second := 60001
+	for tc.nodes[other].Owner(simd.SpecKey(specFor(second))) != owner {
+		second++
+	}
+	tc.srvs[owner].Close()
+
+	// The first forward's transport failure opens the breaker.
+	if resp, _ := postBody(t, tc.srvs[other].URL+"/v1/runs?wait=1", specBody(60000, "")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming submit: HTTP %d", resp.StatusCode)
+	}
+	for _, p := range tc.nodes[other].ClusterStatus().Peers {
+		if p.ID == owner && p.Health != "open" {
+			t.Fatalf("dead peer health %q, want open", p.Health)
+		}
+	}
+
+	start := time.Now()
+	resp, out := postBody(t, tc.srvs[other].URL+"/v1/runs?wait=1", specBody(second, ""))
+	if d := time.Since(start); d >= backoff {
+		t.Errorf("submit with breaker open took %s, want < %s", d, backoff)
+	}
+	if resp.StatusCode != http.StatusOK || out.Jobs[0].State != simd.StateDone || out.Jobs[0].Node != other {
+		t.Fatalf("submit with breaker open: HTTP %d %+v, want done on %s", resp.StatusCode, out, other)
+	}
+
+	start = time.Now()
+	gresp, err := http.Get(tc.srvs[other].URL + "/v1/runs/" + owner + ".j-00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, gresp.Body)
+	gresp.Body.Close()
+	if d := time.Since(start); d >= backoff {
+		t.Errorf("lookup with breaker open took %s, want < %s", d, backoff)
+	}
+	if gresp.StatusCode != http.StatusBadGateway || gresp.Header.Get(ForwardPeerHeader) != owner {
+		t.Fatalf("lookup with breaker open: HTTP %d %s=%q, want 502 naming %s",
+			gresp.StatusCode, ForwardPeerHeader, gresp.Header.Get(ForwardPeerHeader), owner)
+	}
+}
+
+// countingJobs counts JobStore.AppendBatch calls, one per admission
+// transaction.
+type countingJobs struct {
+	store.JobStore
+	appends *atomic.Int64
+}
+
+func (c countingJobs) AppendBatch(recs []store.JobRecord) error {
+	c.appends.Add(1)
+	return c.JobStore.AppendBatch(recs)
+}
+
+// TestLocalGroupsRideEdgeBatcher: owner groups a clustered node keeps
+// for itself go through its edge batcher like forwarded-in and
+// single-node submits do. BatchMax concurrent wait-mode submits of
+// specs the entry node owns make one flush: one fvpd_batch_size
+// observation and one JobStore append.
+func TestLocalGroupsRideEdgeBatcher(t *testing.T) {
+	const k = 4
+	appends := map[string]*atomic.Int64{}
+	tc := newTestClusterSvc(t, 2, func(c *simd.Config) {
+		// Only the BatchMax trigger can flush within the test.
+		c.BatchWindow = time.Minute
+		c.BatchMax = k
+		appends[c.NodeID] = &atomic.Int64{}
+		c.Stores.Jobs = countingJobs{store.NewMemoryJobStore(), appends[c.NodeID]}
+	}, nil)
+
+	entry, _ := tc.ownerAndOther(t, 70000)
+	insts := []int{70000}
+	for next := 70001; len(insts) < k; next++ {
+		if tc.nodes[entry].Owner(simd.SpecKey(specFor(next))) == entry {
+			insts = append(insts, next)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, out := postBody(t, tc.srvs[entry].URL+"/v1/runs?wait=1", specBody(insts[i], ""))
+			if resp.StatusCode != http.StatusOK || out.Jobs[0].State != simd.StateDone || out.Jobs[0].Node != entry {
+				t.Errorf("submit %d: HTTP %d %+v, want done on %s", i, resp.StatusCode, out, entry)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	if got := appends[entry].Load(); got != 1 {
+		t.Errorf("%d JobStore appends for %d concurrent local submits, want 1", got, k)
+	}
+	var buf strings.Builder
+	tc.svcs[entry].WriteMetrics(&buf)
+	if !strings.Contains(buf.String(), "\nfvpd_batch_size_count 1\n") {
+		t.Errorf("entry node's exposition lacks fvpd_batch_size_count 1 (one flush)")
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // errBreakerOpen short-circuits a forward attempt without touching the
 // network: the peer's circuit breaker is open and the cooldown has not
-// elapsed. Callers treat it like any other transport failure (fall back
-// to local execution for submits, 502 for by-ID routing).
+// elapsed. It ends a forward's retry loop at once, with no backoff;
+// callers then treat it like any other transport failure (fall back to
+// local execution for submits, 502 for by-ID routing).
 var errBreakerOpen = errors.New("cluster: peer circuit breaker open")
 
 // breaker states. closed = forwarding normally; open = peer presumed

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"fvp/internal/coalesce"
 	"fvp/internal/simd"
 	"fvp/internal/telemetry"
 )
@@ -63,13 +64,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker fails fast before
 	// letting one probe through; default 5s.
 	BreakerCooldown time.Duration
-	// BatchWindow enables forward coalescing: owner groups headed to the
-	// same peer within one window merge into a single forwarded POST.
-	// 0 (the default) forwards each group immediately.
-	BatchWindow time.Duration
-	// BatchMax caps the requests merged into one forwarded POST; a full
-	// window flushes early. Default 256.
-	BatchMax int
 }
 
 // ParsePeers parses the -peers flag: "id=url,id=url,...". Every node in
@@ -118,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 256
-	}
 	return c
 }
 
@@ -140,10 +131,19 @@ type Node struct {
 	// breaker-gated forward (submits, by-ID lookups).
 	fwdHist *telemetry.Vec
 
-	// fwd holds the per-(peer, wait-mode) forward coalescers, created on
-	// first use; empty unless Config.BatchWindow > 0.
-	fwdMu sync.Mutex
-	fwd   map[string]*fwdBatcher
+	// fwd holds one forward coalescer per (peer, wait mode), built in New
+	// and read-only afterwards. Concurrent owner groups headed to one
+	// peer within the service's batch window merge into a single
+	// forwarded POST, so a flood of single-spec submits through a
+	// non-owner costs the owner one HTTP round trip per window. Wait-mode
+	// and fire-and-forget traffic batch separately: their response timing
+	// differs by design.
+	fwd map[fwdKey]*coalesce.Coalescer[simd.RunRequest, simd.JobStatus]
+}
+
+type fwdKey struct {
+	peer string
+	wait bool
 }
 
 // New builds the routing layer. With no peers the result is a
@@ -188,7 +188,26 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.ring = newRing(members, cfg.VNodes)
 	n.fwdHist = telemetry.NewVec(telemetry.NewLatency)
-	n.fwd = make(map[string]*fwdBatcher)
+	n.fwd = make(map[fwdKey]*coalesce.Coalescer[simd.RunRequest, simd.JobStatus])
+	window, maxReqs := cfg.Service.Batching()
+	for _, p := range n.peers {
+		for _, wait := range []bool{false, true} {
+			n.fwd[fwdKey{p.id, wait}] = &coalesce.Coalescer[simd.RunRequest, simd.JobStatus]{
+				Window: window, Max: maxReqs,
+				Call: func(ctx context.Context, reqs []simd.RunRequest) ([]simd.JobStatus, error) {
+					return n.forwardSubmit(ctx, p, reqs, wait)
+				},
+				// The peer refused the merged batch as a unit (one rider's
+				// quota, one malformed spec): re-forward each group alone.
+				// A transport failure sends every rider to its own local
+				// fallback instead.
+				Split: func(err error) bool {
+					var ref *peerRefusal
+					return errors.As(err, &ref)
+				},
+			}
+		}
+	}
 	if n.clustered() {
 		cfg.Service.AddMetricsAppender(n.writeMetrics)
 	}
@@ -296,13 +315,18 @@ func (n *Node) writeMetrics(w io.Writer) {
 
 // --- submit routing ---
 
-// submitOutcome is one owner group's result: either statuses merged
-// into the batch response, or the first error response to propagate.
-type submitOutcome struct {
+// peerRefusal is a peer's non-2xx answer to a forwarded submit. The
+// peer is alive and its answer (a 429 quota rejection, a 503
+// backpressure) belongs to the client, so it is relayed verbatim rather
+// than absorbed by a local fallback.
+type peerRefusal struct {
 	code   int
-	header http.Header // Retry-After / X-Fvpd-Tenant etc., remote errors only
-	body   []byte      // raw error body, remote errors only
-	err    error       // local submit error (rendered by WriteSubmitError)
+	header http.Header
+	body   []byte
+}
+
+func (e *peerRefusal) Error() string {
+	return fmt.Sprintf("cluster: peer answered HTTP %d", e.code)
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -355,27 +379,28 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Fan out: every owner group runs concurrently (local execution
 	// included), so one slow peer doesn't serialize the batch. Groups
 	// that fail at the transport after retries fall back to local
-	// execution — availability over affinity. If any group errors, the
-	// first error response wins verbatim; jobs admitted by other groups
-	// stay admitted (a batch is not a transaction — callers that need
+	// execution — availability over affinity. Local groups ride the
+	// service's edge batcher like any other submit. If any group errors,
+	// the first error wins verbatim; jobs admitted by other groups stay
+	// admitted (a batch is not a transaction — callers that need
 	// all-or-nothing submit one group per request).
 	results := make([]simd.JobStatus, len(reqs))
 	var (
 		mu       sync.Mutex
-		firstOut *submitOutcome
+		firstErr error
 		wg       sync.WaitGroup
 	)
-	fail := func(out submitOutcome) {
+	fail := func(err error) {
 		mu.Lock()
-		if firstOut == nil {
-			firstOut = &out
+		if firstErr == nil {
+			firstErr = err
 		}
 		mu.Unlock()
 	}
 	runLocal := func(g *group) {
-		statuses, err := n.svc.SubmitBatch(g.reqs)
+		statuses, err := n.svc.SubmitBatched(g.reqs)
 		if err != nil {
-			fail(submitOutcome{err: err})
+			fail(err)
 			return
 		}
 		if wait {
@@ -395,15 +420,19 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				runLocal(g)
 				return
 			}
-			statuses, errResp, transportErr := n.forward(r.Context(), owner, g.reqs, wait)
+			// The coalescer's ctx only gates this caller's wait: a merged
+			// forward runs on the background context, because its riders
+			// belong to different client connections.
+			statuses, err := n.fwd[fwdKey{owner, wait}].Do(r.Context(), g.reqs)
+			var ref *peerRefusal
 			switch {
-			case transportErr != nil:
+			case errors.As(err, &ref):
+				fail(ref)
+			case err != nil:
 				if r.Context().Err() != nil {
 					return // client gone; nothing to write or run
 				}
 				runLocal(g) // owner unreachable: run here, give up dedup
-			case errResp != nil:
-				fail(*errResp)
 			default:
 				for i, st := range statuses {
 					results[g.idxs[i]] = st
@@ -416,75 +445,98 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	if firstOut != nil {
-		if firstOut.err != nil {
-			simd.WriteSubmitError(w, firstOut.err)
-			return
-		}
+	var ref *peerRefusal
+	switch {
+	case errors.As(firstErr, &ref):
 		for _, k := range []string{"Retry-After", "X-Fvpd-Tenant", "Content-Type"} {
-			if v := firstOut.header.Get(k); v != "" {
+			if v := ref.header.Get(k); v != "" {
 				w.Header().Set(k, v)
 			}
 		}
-		w.WriteHeader(firstOut.code)
-		w.Write(firstOut.body)
-		return
+		w.WriteHeader(ref.code)
+		w.Write(ref.body)
+	case firstErr != nil:
+		simd.WriteSubmitError(w, firstErr)
+	case wait:
+		writeJSON(w, http.StatusOK, simd.SubmitResponse{Jobs: results})
+	default:
+		writeJSON(w, http.StatusAccepted, simd.SubmitResponse{Jobs: results})
 	}
-	code := http.StatusAccepted
-	if wait {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, simd.SubmitResponse{Jobs: results})
 }
 
 // forwardSubmit sends one owner group to its peer as a {"runs":[...]}
-// batch. It returns the decoded statuses on 2xx, the raw error response
-// on a non-2xx (the peer is alive; its answer — a 429 quota rejection,
-// a 503 backpressure — belongs to the client), or a transport error
-// after the breaker/retry budget is spent (the caller falls back to
-// local execution).
-func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunRequest, wait bool) ([]simd.JobStatus, *submitOutcome, error) {
+// batch. It returns the decoded statuses on 2xx, a *peerRefusal on a
+// non-2xx, or a transport error once the breaker/retry budget is spent
+// (the caller falls back to local execution).
+func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunRequest, wait bool) ([]simd.JobStatus, error) {
 	body, err := json.Marshal(struct {
 		Runs []simd.RunRequest `json:"runs"`
 	}{reqs})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	path := "/v1/runs"
 	if wait {
 		path += "?wait=1"
 	}
-	var lastErr error
-	for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			if sleepBackoff(ctx, n.cfg.RetryBackoff) != nil {
-				return nil, nil, ctx.Err()
-			}
-		}
-		resp, err := n.roundTrip(ctx, p, http.MethodPost, path, body, !wait)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			lastErr = err
-			continue
-		}
+	var (
+		jobs   []simd.JobStatus
+		answer error
+	)
+	err = n.attempt(ctx, p, http.MethodPost, path, body, !wait, func(resp *http.Response) error {
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-		resp.Body.Close()
 		if err != nil {
-			lastErr = err
-			continue
+			return err // the body broke off: retried like a failed dial
 		}
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return nil, &submitOutcome{code: resp.StatusCode, header: resp.Header, body: raw}, nil
+			answer = &peerRefusal{code: resp.StatusCode, header: resp.Header, body: raw}
+			return nil
 		}
 		var sr simd.SubmitResponse
 		if err := json.Unmarshal(raw, &sr); err != nil {
-			return nil, nil, fmt.Errorf("cluster: peer %s returned malformed response: %w", p.id, err)
+			answer = fmt.Errorf("cluster: peer %s returned malformed response: %w", p.id, err)
+			return nil
 		}
-		return sr.Jobs, nil, nil
+		jobs = sr.Jobs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil, lastErr
+	return jobs, answer
+}
+
+// attempt is the retry loop of every forward (submits and by-ID
+// lookups): up to 1+Retries breaker-gated round trips, RetryBackoff
+// apart. Each response goes to use, which returns an error only for a
+// failure worth retrying; attempt closes the body after it. An open
+// breaker ends the loop at once with errBreakerOpen: the peer is
+// presumed down, so neither a backoff nor another attempt can help.
+// The caller's own cancellation ends it with ctx.Err().
+func (n *Node) attempt(ctx context.Context, p *peer, method, path string, body []byte, bounded bool, use func(*http.Response) error) error {
+	var err error
+	for i := 0; i <= n.cfg.Retries; i++ {
+		if i > 0 && sleepBackoff(ctx, n.cfg.RetryBackoff) != nil {
+			return ctx.Err()
+		}
+		var resp *http.Response
+		resp, err = n.roundTrip(ctx, p, method, path, body, bounded)
+		switch {
+		case errors.Is(err, errBreakerOpen):
+			return err
+		case err != nil:
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			continue
+		}
+		err = use(resp)
+		resp.Body.Close()
+		if err == nil {
+			return nil
+		}
+	}
+	return err
 }
 
 // roundTrip performs one breaker-gated forward attempt. bounded adds
@@ -558,22 +610,7 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 		n.inner.ServeHTTP(w, r)
 		return
 	}
-	var lastErr error
-	for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			if sleepBackoff(r.Context(), n.cfg.RetryBackoff) != nil {
-				return
-			}
-		}
-		resp, err := n.roundTrip(r.Context(), p, r.Method, r.URL.RequestURI(), nil, true)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			lastErr = err
-			continue
-		}
-		defer resp.Body.Close()
+	err := n.attempt(r.Context(), p, r.Method, r.URL.RequestURI(), nil, true, func(resp *http.Response) error {
 		for _, k := range []string{"Content-Type", "Retry-After"} {
 			if v := resp.Header.Get(k); v != "" {
 				w.Header().Set(k, v)
@@ -581,11 +618,14 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
+		return nil
+	})
+	if err == nil || r.Context().Err() != nil {
 		return
 	}
 	w.Header().Set(ForwardPeerHeader, node)
 	writeJSONError(w, http.StatusBadGateway,
-		fmt.Errorf("cluster: job owner %q unreachable: %v", node, lastErr))
+		fmt.Errorf("cluster: job owner %q unreachable: %v", node, err))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -111,7 +111,7 @@ func (o Options) validateSampling() error {
 	}
 	if s.Units < 0 || (s.Units > 0 && s.Units < sample.MinUnits) {
 		return &InvalidOptionsError{
-			Field: "Sampling.Units", Value: uint64(s.Units), Limit: sample.MinUnits,
+			Field:  "Sampling.Units",
 			Reason: "at least two sample units are needed for a variance estimate",
 		}
 	}

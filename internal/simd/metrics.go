@@ -186,10 +186,10 @@ func (s *Service) WriteMetrics(w io.Writer) {
 		reqHelp += fmt.Sprintf(" SLO target: %s.", s.cfg.SLOTarget)
 	}
 	s.reqHist.WriteProm(w, "fvpd_request_seconds", reqHelp)
-	if s.batch != nil {
+	if s.cfg.BatchWindow > 0 {
 		telemetry.WritePromHeader(w, "fvpd_batch_size",
 			fmt.Sprintf("Requests coalesced per micro-batch flush (window %s, max %d).", s.cfg.BatchWindow, s.cfg.BatchMax))
-		s.batch.sizes.WriteProm(w, "fvpd_batch_size", "")
+		s.batch.Sizes.WriteProm(w, "fvpd_batch_size", "")
 	}
 
 	s.mu.Lock()

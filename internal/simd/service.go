@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fvp"
+	"fvp/internal/coalesce"
 	"fvp/internal/store"
 	"fvp/internal/telemetry"
 )
@@ -78,7 +79,9 @@ type Config struct {
 	// coalesced for up to this long (or until BatchMax requests pend)
 	// into one admission + durable-store transaction, amortizing quota
 	// charging and the per-batch fsync. 0 (the default) disables
-	// coalescing; every submit is its own transaction, as before.
+	// coalescing; every submit is its own transaction, as before. A
+	// cluster.Node in front of the service coalesces its forwards to
+	// each peer under the same window and max.
 	BatchWindow time.Duration
 	// BatchMax caps the requests coalesced into one flush; default 256.
 	// A full batch flushes immediately without waiting out the window.
@@ -206,8 +209,15 @@ type Service struct {
 	http      *httpStats
 	recovered uint64 // jobs re-dispatched from the JobStore at boot
 
-	// batch is the edge micro-batcher; nil unless Config.BatchWindow > 0.
-	batch *batcher
+	// batch is the edge micro-batcher: concurrent SubmitBatched callers
+	// are parked for up to one window (or until BatchMax requests pend)
+	// and flushed as a single SubmitBatch — one admission pass, one
+	// tenant-quota transaction, one durable JobStore append (one fsync on
+	// the disk backend). With BatchWindow 0 it calls straight through.
+	// Its Sizes histogram is fvpd_batch_size: requests per flush. A p50
+	// near 1 means the window is not seeing concurrency; widen it or stop
+	// paying the parking latency.
+	batch *coalesce.Coalescer[RunRequest, JobStatus]
 	// reqHist is fvpd_request_seconds{path,outcome}: end-to-end request
 	// latency per route pattern, the series p50/p99-vs-SLO reads come from.
 	reqHist *telemetry.Vec
@@ -248,8 +258,16 @@ func New(cfg Config) *Service {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.reqHist = telemetry.NewVec(telemetry.NewLatency)
-	if cfg.BatchWindow > 0 {
-		s.batch = newBatcher(s, cfg.BatchWindow, cfg.BatchMax)
+	s.batch = &coalesce.Coalescer[RunRequest, JobStatus]{
+		Window: cfg.BatchWindow, Max: cfg.BatchMax,
+		Call: func(_ context.Context, reqs []RunRequest) ([]JobStatus, error) {
+			return s.SubmitBatch(reqs)
+		},
+		// Any refusal of a merged batch (a rider's quota, a stranger's
+		// malformed spec, a queue too full for the whole flush) may be one
+		// caller's alone: re-submit per caller.
+		Split: func(error) bool { return true },
+		Sizes: telemetry.NewSizes(),
 	}
 	s.recoverJobs()
 	for i := 0; i < cfg.Workers; i++ {
@@ -333,17 +351,22 @@ func (s *Service) Submit(req RunRequest) (JobStatus, error) {
 }
 
 // SubmitBatched routes one caller's requests through the edge
-// micro-batcher when one is configured (Config.BatchWindow > 0) and
-// directly to SubmitBatch otherwise. Coalesced callers keep their
+// micro-batcher, which calls SubmitBatch directly when
+// Config.BatchWindow is 0. Coalesced callers keep their
 // individual semantics — a rejection that only applies to the merged
 // batch (another caller's quota, a stranger's validation error) degrades
 // to per-caller submits rather than poisoning everyone in the window.
-// The HTTP submit path uses this entry point.
+// The HTTP submit path and the cluster router's locally-owned groups use
+// this entry point.
 func (s *Service) SubmitBatched(reqs []RunRequest) ([]JobStatus, error) {
-	if s.batch == nil || len(reqs) == 0 {
-		return s.SubmitBatch(reqs)
-	}
-	return s.batch.submit(reqs)
+	return s.batch.Do(context.Background(), reqs)
+}
+
+// Batching returns the edge micro-batcher's window and flush size after
+// defaults. The cluster router coalesces its forwards under the same
+// pair, so one setting governs both hops.
+func (s *Service) Batching() (window time.Duration, maxReqs int) {
+	return s.cfg.BatchWindow, s.cfg.BatchMax
 }
 
 // SubmitBatch submits a batch atomically with respect to queue capacity,
@@ -944,9 +967,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	// Flush the micro-batcher before refusing submits: callers already
 	// parked in the window get a real admit/reject decision, and their
 	// jobs drain with everything else.
-	if s.batch != nil {
-		s.batch.close()
-	}
+	s.batch.Close()
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
@@ -974,9 +995,7 @@ func (s *Service) Drain(ctx context.Context) error {
 // their next context poll and finish in the canceled state, then the
 // stores are closed.
 func (s *Service) Close() {
-	if s.batch != nil {
-		s.batch.close()
-	}
+	s.batch.Close()
 	s.stop()
 	s.mu.Lock()
 	s.closed = true
